@@ -5,6 +5,7 @@
 //! tagged, geometric-history predictor for indirect jumps and returns,
 //! which matters on dispatch-heavy workloads (povray/blender-like).
 
+use crate::tage::{check_lengths, fold_nested, Keys, MAX_COMPONENTS};
 use phast_isa::{BlockId, Pc};
 
 /// Configuration of an [`Ittage`] predictor.
@@ -49,6 +50,14 @@ impl Default for Entry {
     }
 }
 
+/// ITTAGE's fold step: XOR the chunk in, then rotate the `bits`-bit
+/// accumulator — so, unlike TAGE's, the fold depends on chunk order.
+fn rotate_step(acc: u64, chunk: u64, bits: u32) -> u64 {
+    let mask = (1u64 << bits) - 1;
+    let acc = acc ^ chunk;
+    (acc.rotate_left(3) & mask | (acc >> (bits.saturating_sub(3))).min(mask)) & mask
+}
+
 /// Tagged geometric-history indirect-target predictor.
 #[derive(Clone, Debug)]
 pub struct Ittage {
@@ -64,71 +73,65 @@ impl Ittage {
     ///
     /// # Panics
     ///
-    /// Panics if the length list is empty or any length exceeds 64.
+    /// Panics if the length list is empty, longer than 16, not sorted
+    /// shortest first, or has a length over 64.
     pub fn new(cfg: IttageConfig) -> Ittage {
-        assert!(!cfg.history_lengths.is_empty(), "need at least one tagged component");
-        assert!(cfg.history_lengths.iter().all(|&h| h <= 64), "histories must fit u64 paths");
+        check_lengths(&cfg.history_lengths, 64);
         let tables = vec![vec![Entry::default(); 1 << cfg.tagged_log2]; cfg.history_lengths.len()];
         Ittage { base: vec![None; 1 << cfg.base_log2], tables, cfg, updates: 0, lfsr: 0x1d2f }
     }
 
-    fn fold(ghr: u128, len: u32, bits: u32) -> u64 {
-        let mut acc = 0u64;
-        let mask = (1u64 << bits) - 1;
-        let mut remaining = len;
-        let mut h = ghr;
-        while remaining > 0 {
-            let take = remaining.min(bits);
-            acc ^= (h as u64) & ((1u64 << take) - 1);
-            acc = acc.rotate_left(3) & mask | (acc >> (bits.saturating_sub(3))).min(mask);
-            acc &= mask;
-            h >>= take;
-            remaining -= take;
+    /// Every component's (index, tag), folding the history once per
+    /// distinct fold width.
+    fn keys(&self, pc: Pc, ghr: u128) -> Keys {
+        let lengths = &self.cfg.history_lengths;
+        let (ib, tb) = (self.cfg.tagged_log2, self.cfg.tag_bits);
+        let fold = |bits| fold_nested(ghr, lengths, bits, |acc, c| rotate_step(acc, c, bits));
+        let hi = fold(ib);
+        let ht = if tb == ib { hi } else { fold(tb) };
+        let mut k = Keys { idx: [0; MAX_COMPONENTS], tag: [0; MAX_COMPONENTS] };
+        for t in 0..lengths.len() {
+            k.idx[t] = (((pc >> 2) ^ (pc >> 11) ^ hi[t] ^ (t as u64)) & ((1 << ib) - 1)) as usize;
+            k.tag[t] = (((pc >> 2) ^ (pc >> 7) ^ ht[t].rotate_left(2)) & ((1 << tb) - 1)) as u16;
         }
-        acc
-    }
-
-    fn index(&self, t: usize, pc: Pc, ghr: u128) -> usize {
-        let bits = self.cfg.tagged_log2;
-        let h = Self::fold(ghr, self.cfg.history_lengths[t], bits);
-        (((pc >> 2) ^ (pc >> 11) ^ h ^ (t as u64)) & ((1 << bits) - 1)) as usize
-    }
-
-    fn tag(&self, t: usize, pc: Pc, ghr: u128) -> u16 {
-        let bits = self.cfg.tag_bits;
-        let h = Self::fold(ghr, self.cfg.history_lengths[t], bits);
-        (((pc >> 2) ^ (pc >> 7) ^ h.rotate_left(2)) & ((1 << bits) - 1)) as u16
+        k
     }
 
     fn base_index(&self, pc: Pc) -> usize {
         ((pc >> 2) & ((1 << self.cfg.base_log2) - 1)) as usize
     }
 
-    fn provider(&self, pc: Pc, ghr: u128) -> Option<(usize, usize)> {
-        (0..self.tables.len()).rev().find_map(|t| {
-            let i = self.index(t, pc, ghr);
-            let e = &self.tables[t][i];
-            (e.valid && e.tag == self.tag(t, pc, ghr)).then_some((t, i))
+    /// The longest component whose entry matches its key.
+    fn provider(&self, k: &Keys) -> Option<usize> {
+        (0..self.tables.len()).rev().find(|&t| {
+            let e = &self.tables[t][k.idx[t]];
+            e.valid && e.tag == k.tag[t]
         })
+    }
+
+    fn predict_with(&self, pc: Pc, k: &Keys, provider: Option<usize>) -> Option<BlockId> {
+        match provider {
+            Some(t) => Some(self.tables[t][k.idx[t]].target),
+            None => self.base[self.base_index(pc)],
+        }
     }
 
     /// Predicts the target of the indirect branch at `pc` under history
     /// `ghr` (the same conditional-outcome history TAGE uses).
     pub fn predict(&self, pc: Pc, ghr: u128) -> Option<BlockId> {
-        match self.provider(pc, ghr) {
-            Some((t, i)) => Some(self.tables[t][i].target),
-            None => self.base[self.base_index(pc)],
-        }
+        let k = self.keys(pc, ghr);
+        self.predict_with(pc, &k, self.provider(&k))
     }
 
     /// Trains with the resolved target.
     pub fn update(&mut self, pc: Pc, ghr: u128, target: BlockId) {
-        let predicted = self.predict(pc, ghr);
-        let provider = self.provider(pc, ghr);
+        let k = self.keys(pc, ghr);
+        let provider = self.provider(&k);
+        let predicted = self.predict_with(pc, &k, provider);
 
         match provider {
-            Some((t, i)) => {
-                let e = &mut self.tables[t][i];
+            Some(t) => {
+                let e = &mut self.tables[t][k.idx[t]];
                 if e.target == target {
                     e.confidence = (e.confidence + 1).min(3);
                     e.useful = 1;
@@ -147,7 +150,7 @@ impl Ittage {
 
         // Allocate a longer-history entry on a mispredict.
         if predicted != Some(target) {
-            let start = provider.map_or(0, |(t, _)| t + 1);
+            let start = provider.map_or(0, |t| t + 1);
             let r = {
                 // 16-bit LFSR step.
                 let lsb = self.lfsr & 1;
@@ -159,12 +162,10 @@ impl Ittage {
             };
             let n = self.tables.len();
             for t in start..n {
-                let i = self.index(t, pc, ghr);
-                let tag = self.tag(t, pc, ghr);
                 let last = t + 1 == n;
-                let e = &mut self.tables[t][i];
+                let e = &mut self.tables[t][k.idx[t]];
                 if (!e.valid || e.useful == 0) && (last || r & (1 << t) == 0) {
-                    *e = Entry { valid: true, tag, target, confidence: 1, useful: 0 };
+                    *e = Entry { valid: true, tag: k.tag[t], target, confidence: 1, useful: 0 };
                     break;
                 }
             }
@@ -192,8 +193,65 @@ impl Ittage {
 }
 
 #[cfg(test)]
+impl Ittage {
+    /// Reference fold: one component's history folded chunk by chunk.
+    fn fold(ghr: u128, len: u32, bits: u32) -> u64 {
+        let mut acc = 0u64;
+        let mask = (1u64 << bits) - 1;
+        let mut remaining = len;
+        let mut h = ghr;
+        while remaining > 0 {
+            let take = remaining.min(bits);
+            acc ^= (h as u64) & ((1u64 << take) - 1);
+            acc = acc.rotate_left(3) & mask | (acc >> (bits.saturating_sub(3))).min(mask);
+            acc &= mask;
+            h >>= take;
+            remaining -= take;
+        }
+        acc
+    }
+
+    /// Reference (index, tag) of component `t`, folded on its own.
+    fn reference_key(&self, t: usize, pc: Pc, ghr: u128) -> (usize, u16) {
+        let len = self.cfg.history_lengths[t];
+        let ib = self.cfg.tagged_log2;
+        let h = Self::fold(ghr, len, ib);
+        let idx = (((pc >> 2) ^ (pc >> 11) ^ h ^ (t as u64)) & ((1 << ib) - 1)) as usize;
+        let tb = self.cfg.tag_bits;
+        let h = Self::fold(ghr, len, tb);
+        (idx, (((pc >> 2) ^ (pc >> 7) ^ h.rotate_left(2)) & ((1 << tb) - 1)) as u16)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The single-pass nested fold equals the per-component reference
+        /// fold at every configured length, for every width up to 16.
+        #[test]
+        fn nested_fold_matches_reference(ghr in any::<u128>(), bits in 1u32..17) {
+            let lengths = IttageConfig::default().history_lengths;
+            let out = fold_nested(ghr, &lengths, bits, |acc, c| rotate_step(acc, c, bits));
+            for (t, &len) in lengths.iter().enumerate() {
+                prop_assert_eq!(out[t], Ittage::fold(ghr, len, bits), "len {} bits {}", len, bits);
+            }
+        }
+
+        /// Every component's key equals the reference derivation, for the
+        /// default geometry and for one with equal index and tag widths.
+        #[test]
+        fn keys_match_reference(ghr in any::<u128>(), pc in any::<u64>(), same in any::<bool>()) {
+            let tag_bits = if same { 8 } else { 9 };
+            let p = Ittage::new(IttageConfig { tag_bits, ..IttageConfig::default() });
+            let k = p.keys(pc, ghr);
+            for t in 0..p.tables.len() {
+                prop_assert_eq!((k.idx[t], k.tag[t]), p.reference_key(t, pc, ghr), "component {}", t);
+            }
+        }
+    }
 
     #[test]
     fn learns_a_monomorphic_target() {

@@ -33,7 +33,9 @@ pub struct ChaosPlan {
     pub kill_worker: u64,
     /// Rate (per [`CHAOS_DENOM`] pickups) at which the job runs with its
     /// progress heartbeat disconnected, so the housekeeper sees a
-    /// wedged lease even though the simulation is advancing.
+    /// wedged lease even though the simulation is advancing. Like a
+    /// wedged worker, the attempt never delivers: it holds its result
+    /// until the lease is reclaimed, so every stall costs a retry.
     pub drop_heartbeat: u64,
     /// Kill the worker deterministically on exactly this `(job, attempt)`
     /// pickup (in addition to the statistical rate).

@@ -866,6 +866,9 @@ fn worker_loop(inner: Arc<SchedInner>, me: usize, alive: Arc<AtomicBool>) {
                 RunFailure::Panicked(p.message),
             ),
         };
+        if suppress {
+            hold_while_wedged(&inner, &grant.cancel);
+        }
         if inner.leases.release(entry.id, attempt) {
             inner.deliver(&entry, result, attempt);
         } else {
@@ -925,7 +928,7 @@ fn run_lane_batch(inner: &Arc<SchedInner>, me: usize, first: Arc<JobEntry>) -> b
             cancel: Arc::clone(&grant.cancel),
             progress: grant.progress(),
         };
-        slots.push((entry, attempt, ctx));
+        slots.push((entry, attempt, ctx, suppress));
     }
     // Build every lane job; a panicking build degrades its own cell
     // without touching its wave-mates (the same catch boundary the solo
@@ -933,7 +936,7 @@ fn run_lane_batch(inner: &Arc<SchedInner>, me: usize, first: Arc<JobEntry>) -> b
     let mut results: Vec<Option<RunResult>> = Vec::with_capacity(slots.len());
     let mut jobs: Vec<LaneJob> = Vec::new();
     let mut job_slot: Vec<usize> = Vec::new();
-    for (i, (entry, _, ctx)) in slots.iter().enumerate() {
+    for (i, (entry, _, ctx, _)) in slots.iter().enumerate() {
         let lane = entry.spec.lane.as_ref().expect("lane-capable entry");
         match pool::catch_job(|| (lane.build)(ctx)) {
             Ok(job) => {
@@ -950,7 +953,7 @@ fn run_lane_batch(inner: &Arc<SchedInner>, me: usize, first: Arc<JobEntry>) -> b
     }
     for (j, report) in LaneBatch::new(inner.cfg.lanes).run(jobs).into_iter().enumerate() {
         let i = job_slot[j];
-        let (entry, _, _) = &slots[i];
+        let (entry, _, _, _) = &slots[i];
         let lane = entry.spec.lane.as_ref().expect("lane-capable entry");
         results[i] = Some(match pool::catch_job(|| (lane.finish)(report)) {
             Ok(r) => r,
@@ -961,8 +964,11 @@ fn run_lane_batch(inner: &Arc<SchedInner>, me: usize, first: Arc<JobEntry>) -> b
             ),
         });
     }
-    for ((entry, attempt, _), result) in slots.into_iter().zip(results) {
+    for ((entry, attempt, ctx, suppress), result) in slots.into_iter().zip(results) {
         let result = result.expect("every batched cell produced a result");
+        if suppress {
+            hold_while_wedged(inner, &ctx.cancel);
+        }
         if inner.leases.release(entry.id, attempt) {
             inner.deliver(&entry, result, attempt);
         } else {
@@ -970,6 +976,17 @@ fn run_lane_batch(inner: &Arc<SchedInner>, me: usize, first: Arc<JobEntry>) -> b
         }
     }
     true
+}
+
+/// Holds a chaos-stalled attempt's finished result until its lease is
+/// reclaimed (or the scheduler stops). The attempt looks wedged to the
+/// lease table, and a wedged worker never delivers: the housekeeper's
+/// reclaim, not the cell's run time, decides the outcome, so every
+/// stalled attempt is reclaimed and retried however short the cell.
+fn hold_while_wedged(inner: &SchedInner, cancel: &AtomicBool) {
+    while !cancel.load(Ordering::SeqCst) && !inner.stop.load(Ordering::SeqCst) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// The housekeeping thread: expire bad leases, requeue or degrade their

@@ -166,6 +166,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
+                // Events are small lines the peer waits on: without
+                // TCP_NODELAY, Nagle's algorithm holds each one behind
+                // the peer's delayed ACK (~40 ms on Linux loopback). A
+                // failure only costs latency, so it is not fatal.
+                let _ = stream.set_nodelay(true);
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || client_thread(stream, shared));
             }

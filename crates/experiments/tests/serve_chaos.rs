@@ -221,12 +221,12 @@ fn reclaimed_job_journals_both_attempts_with_distinct_reseeds() {
     // Drop job 1's heartbeat on its first attempt: the attempt *runs*
     // (journaling its write-ahead `start`), but the lease table watches
     // a decoy progress cell, reclaims after the heartbeat window, and
-    // requeues — the retry journals a second `start`. The cell's budget
-    // is sized to comfortably outlast the window in a debug build, and
-    // the reclaimed attempt stops at its next cancellation poll. A
-    // zero-rate fault plan is armed so the per-attempt reseed policy has
-    // a seed to perturb without injecting any actual faults (the
-    // simulation stays deterministic).
+    // requeues — the retry journals a second `start`. A stalled attempt
+    // holds its result until the reclaim (a wedged worker never
+    // delivers), so the stall outlasts the window however fast the cell
+    // runs. A zero-rate fault plan is armed so the per-attempt reseed
+    // policy has a seed to perturb without injecting any actual faults
+    // (the simulation stays deterministic).
     let plan = FaultPlan {
         seed: 77,
         drop_prediction: 0,
@@ -251,7 +251,7 @@ fn reclaimed_job_journals_both_attempts_with_distinct_reseeds() {
     let spec = SweepSpec {
         id: "retry".to_string(),
         kinds: vec![PredictorKind::Blind],
-        budget: Budget { insts: 500_000, workload_iters: 30_000, max_workloads: Some(1), extra_workloads: Vec::new() },
+        budget: Budget { insts: 50_000, workload_iters: 30_000, max_workloads: Some(1), extra_workloads: Vec::new() },
         cfg,
         run_timeout: None,
     };

@@ -10,6 +10,7 @@ use crate::inst::{MemSize, Op, Reg};
 use crate::program::{BlockId, Pc, Program};
 use crate::NUM_REGS;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Value computed by a non-memory, value-producing operation.
 ///
@@ -33,13 +34,45 @@ pub fn ranges_overlap(a: u64, asz: u64, b: u64, bsz: u64) -> bool {
     a < b.wrapping_add(bsz) && b < a.wrapping_add(asz)
 }
 
+/// Fixed hasher for [`SparseMemory`]'s line indices: one folded 64x64-bit
+/// multiply per key.
+///
+/// The keys are addresses the simulated program computes, so the
+/// per-process random SipHash seed buys no protection that matters here,
+/// while its cost sits on every emulated load and store. The folded
+/// multiply spreads consecutive line indices over both the low bits (the
+/// bucket) and the high bits (the control byte). It is fixed, so a program
+/// built to collide could slow its own simulation; it cannot change any
+/// result, and `lines_sorted` keeps serialization independent of the
+/// iteration order.
+#[derive(Clone, Copy, Debug, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+}
+
 /// Byte-addressable sparse memory, stored as 64-byte lines.
 ///
 /// Reads of unwritten bytes return zero. Multi-byte accesses are
 /// little-endian and may cross line boundaries.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SparseMemory {
-    lines: HashMap<u64, [u8; 64]>,
+    lines: HashMap<u64, [u8; 64], BuildHasherDefault<LineHasher>>,
 }
 
 impl SparseMemory {

@@ -41,7 +41,7 @@ struct Way {
     lru: u32,
     /// A way is live iff its epoch matches the cache's current epoch.
     /// [`Cache::reset`] bumps the cache epoch, aging out every way in
-    /// O(1) instead of rewriting the (multi-megabyte, for L3) slab.
+    /// O(1) instead of rewriting every allocated group.
     epoch: u32,
 }
 
@@ -60,14 +60,31 @@ pub struct CacheStats {
     pub prefetch_fills: u64,
 }
 
+/// Sets per tag-storage group: the unit [`Cache`] allocates on first fill.
+///
+/// 16 sets of a 12-way L3 are 3 KiB, so a snapshot copies only the
+/// groups its live lines fall in instead of the whole 3 MiB tag array,
+/// while a full cache pays one 4-byte directory entry per group.
+const GROUP_SETS: usize = 16;
+
+/// Directory entry of a group that holds no storage yet.
+const UNALLOCATED: u32 = u32::MAX;
+
 /// One cache level: tag array + MSHRs.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Flat tag array, `cfg.ways` consecutive entries per set — one
-    /// contiguous allocation so a probe walks a single cache-line-sized
-    /// span instead of chasing a per-set pointer.
+    /// Tag storage of the allocated groups, in allocation order:
+    /// `group_sets * cfg.ways` consecutive ways per group, `cfg.ways`
+    /// consecutive ways per set — so a probe walks one contiguous span.
     ways: Vec<Way>,
+    /// Per group, the offset of its first way in `ways`, or
+    /// [`UNALLOCATED`]. A group is allocated on its first fill, so tag
+    /// storage (and the cost of a clone) grows with the sets in use.
+    groups: Vec<u32>,
+    /// log2 of the sets per group (`GROUP_SETS`, or fewer for a cache
+    /// with fewer sets).
+    group_shift: u32,
     set_mask: usize,
     lru_clock: u32,
     /// Current validity epoch; ways whose epoch differs are empty.
@@ -78,12 +95,16 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Creates an empty cache.
+    /// Creates an empty cache. Only the group directory is allocated;
+    /// tag storage follows the fills.
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.sets();
+        let group_sets = GROUP_SETS.min(sets);
         Cache {
             cfg,
-            ways: vec![Way::default(); sets * cfg.ways],
+            ways: Vec::new(),
+            groups: vec![UNALLOCATED; sets / group_sets],
+            group_shift: group_sets.trailing_zeros(),
             set_mask: sets - 1,
             lru_clock: 0,
             epoch: 1,
@@ -93,14 +114,15 @@ impl Cache {
     }
 
     /// Restores the cache to the state `Cache::new(cfg)` would produce,
-    /// keeping the tag-slab allocation.
+    /// keeping the allocated tag storage.
     ///
     /// Validity is epoch-gated, so invalidating every way is a single
     /// epoch bump — stale ways read as empty to [`probe`](Cache::probe)
     /// and rank as free slots to [`fill`](Cache::fill)'s victim search,
-    /// exactly like a fresh cache's default ways. `reset_equivalence`
-    /// tests pin fresh/reset indistinguishability, which the lane batch's
-    /// hierarchy recycling relies on for byte-identical statistics.
+    /// exactly like a fresh cache's default ways (and like a group that
+    /// was never allocated). `reset_equivalence` tests pin fresh/reset
+    /// indistinguishability, which the lane batch's hierarchy recycling
+    /// relies on for byte-identical statistics.
     pub fn reset(&mut self) {
         match self.epoch.checked_add(1) {
             Some(next) => self.epoch = next,
@@ -126,19 +148,24 @@ impl Cache {
         &self.stats
     }
 
-    /// The slice of ways holding `line`'s set.
+    /// `line`'s group, and the offset of its set within the group's ways.
     #[inline]
-    fn set_of(&mut self, line: u64) -> &mut [Way] {
-        let base = ((line as usize) & self.set_mask) * self.cfg.ways;
-        &mut self.ways[base..base + self.cfg.ways]
+    fn locate(&self, line: u64) -> (usize, usize) {
+        let set = (line as usize) & self.set_mask;
+        (set >> self.group_shift, (set & ((1 << self.group_shift) - 1)) * self.cfg.ways)
     }
 
     /// Looks up `line`, updating LRU on hit. Returns true on hit.
     pub fn probe(&mut self, line: u64) -> bool {
         self.lru_clock += 1;
+        let (group, offset) = self.locate(line);
+        if self.groups[group] == UNALLOCATED {
+            return false;
+        }
+        let base = self.groups[group] as usize + offset;
         let clock = self.lru_clock;
         let epoch = self.epoch;
-        for way in self.set_of(line) {
+        for way in &mut self.ways[base..base + self.cfg.ways] {
             if way.epoch == epoch && way.tag == line {
                 way.lru = clock;
                 return true;
@@ -152,7 +179,15 @@ impl Cache {
         self.lru_clock += 1;
         let clock = self.lru_clock;
         let epoch = self.epoch;
-        let set = self.set_of(line);
+        let (group, offset) = self.locate(line);
+        if self.groups[group] == UNALLOCATED {
+            // First fill into this group: append its (empty) ways.
+            let start = self.ways.len();
+            self.groups[group] = u32::try_from(start).expect("tag storage fits u32 offsets");
+            self.ways.resize(start + (1 << self.group_shift) * self.cfg.ways, Way::default());
+        }
+        let base = self.groups[group] as usize + offset;
+        let set = &mut self.ways[base..base + self.cfg.ways];
         // Already present (e.g. a prefetch raced a demand fill): refresh.
         for way in set.iter_mut() {
             if way.epoch == epoch && way.tag == line {
@@ -304,24 +339,27 @@ mod tests {
         assert_eq!(c.fill(0), None);
     }
 
+    /// Drives `c` with a mixed probe/fill/miss stream over `span` lines and
+    /// logs every observable outcome.
+    fn drive(c: &mut Cache, span: u64) -> (Vec<(bool, Option<u64>, u64)>, CacheStats) {
+        let mut log = Vec::new();
+        for i in 0..4 * span {
+            let hit = c.probe((i * 3) % span);
+            if hit {
+                c.note_hit();
+            }
+            let evicted = if i % 2 == 0 { c.fill(i % span) } else { None };
+            let done = c.track_miss(i % 8, i, i + 50);
+            log.push((hit, evicted, done));
+        }
+        (log, *c.stats())
+    }
+
     /// A dirtied-then-reset cache must be observably identical to a fresh
     /// one: same hits, same victims, same MSHR timing, same stats. The
-    /// lane batch recycles tag slabs on the strength of this.
+    /// lane batch recycles tag storage on the strength of this.
     #[test]
     fn reset_equivalence() {
-        fn drive(c: &mut Cache) -> (Vec<(bool, Option<u64>, u64)>, CacheStats) {
-            let mut log = Vec::new();
-            for i in 0..96u64 {
-                let hit = c.probe((i * 3) % 24);
-                if hit {
-                    c.note_hit();
-                }
-                let evicted = if i % 2 == 0 { c.fill(i % 24) } else { None };
-                let done = c.track_miss(i % 8, i, i + 50);
-                log.push((hit, evicted, done));
-            }
-            (log, *c.stats())
-        }
         let mut fresh = small();
         let mut recycled = small();
         // Dirty every set, the LRU clock, the MSHRs and the stats.
@@ -331,6 +369,41 @@ mod tests {
             recycled.track_miss(i, i, i + 90);
         }
         recycled.reset();
-        assert_eq!(drive(&mut fresh), drive(&mut recycled));
+        assert_eq!(drive(&mut fresh, 24), drive(&mut recycled, 24));
+    }
+
+    /// A dirtied cache and its clone must be observably identical: warm
+    /// snapshots are clones, and clones copy only the allocated groups.
+    /// The stream reaches groups the dirtying never touched, so both
+    /// copies allocate them on the way.
+    #[test]
+    fn clone_equivalence() {
+        // 128 sets x 2 ways: eight 16-set groups.
+        let cfg = CacheConfig { size_bytes: 128 * 64 * 2, ways: 2, hit_latency: 3, mshrs: 2 };
+        let mut original = Cache::new(cfg);
+        for i in 0..300u64 {
+            original.probe(i % 40);
+            original.fill((i * 7) % 40);
+            original.track_miss(i, i, i + 90);
+        }
+        let mut copy = original.clone();
+        assert_eq!(drive(&mut original, 120), drive(&mut copy, 120));
+    }
+
+    /// A probe of a group no fill has reached is a miss and allocates
+    /// nothing; a new cache holds only its group directory.
+    #[test]
+    fn tag_storage_follows_fills() {
+        let cfg = CacheConfig { size_bytes: 128 * 64 * 2, ways: 2, hit_latency: 3, mshrs: 2 };
+        let mut c = Cache::new(cfg);
+        assert!(c.ways.is_empty());
+        assert!(!c.probe(5));
+        assert!(c.ways.is_empty(), "a probe allocates nothing");
+        c.fill(5);
+        c.fill(6);
+        assert_eq!(c.ways.len(), GROUP_SETS * 2, "one group per touched 16 sets");
+        c.fill(5 + 16);
+        assert_eq!(c.ways.len(), 2 * GROUP_SETS * 2);
+        assert!(c.probe(5) && c.probe(6) && c.probe(21));
     }
 }

@@ -244,9 +244,8 @@ impl Hierarchy {
 
     /// Restores the hierarchy to the state `Hierarchy::new(cfg)` would
     /// produce — cold caches, untrained prefetcher, zero statistics —
-    /// while keeping every slab allocation (the L3 tag array alone is
-    /// ~12 MB). The lane batch recycles hierarchies across waves through
-    /// this; the `reset_equivalence` tests pin that a reset hierarchy is
+    /// while keeping every tag group the caches have allocated. The lane
+    /// batch recycles hierarchies across waves through this; the `reset_equivalence` tests pin that a reset hierarchy is
     /// observably identical to a fresh one.
     pub fn reset(&mut self) {
         self.l1i.reset();

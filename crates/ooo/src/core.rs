@@ -363,8 +363,8 @@ impl<'a> Core<'a> {
     /// `mem` must be indistinguishable from `Hierarchy::new(cfg.memory)` —
     /// either freshly built or recycled through [`Hierarchy::reset`]
     /// (which is equivalence-tested). The lane batch uses this to reuse
-    /// tag-array slabs across waves instead of reallocating ~12 MB of L3
-    /// tags per cell.
+    /// allocated tag groups across waves instead of reallocating them per
+    /// cell.
     pub(crate) fn with_mem(
         program: &'a Program,
         cfg: CoreConfig,
@@ -593,10 +593,9 @@ impl<'a> Core<'a> {
 
     /// Consumes the core, handing back its cache hierarchy for recycling.
     ///
-    /// Used by the lane batch between waves: the hierarchy's tag slabs are
-    /// the only allocation worth reusing across cells (the L3 alone is
-    /// ~12 MB of `Way` entries). Callers must [`Hierarchy::reset`] it
-    /// before the next [`Core::with_mem`].
+    /// Used by the lane batch between waves: the hierarchy's allocated tag
+    /// groups are the only allocation worth reusing across cells. Callers
+    /// must [`Hierarchy::reset`] it before the next [`Core::with_mem`].
     pub(crate) fn into_mem(self) -> Hierarchy {
         self.mem
     }

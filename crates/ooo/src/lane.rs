@@ -7,9 +7,9 @@
 //! event-driven scalar state machines); it comes from amortizing the
 //! per-cell fixed costs across lanes:
 //!
-//! * cache-hierarchy tag slabs (~12 MB of L3 `Way` entries per cell) are
-//!   recycled between waves through [`Hierarchy::reset`] instead of being
-//!   reallocated and re-faulted per cell, and
+//! * cache-hierarchy tag storage (the groups of sets a cell's accesses
+//!   allocated) is recycled between waves through [`Hierarchy::reset`]
+//!   instead of being reallocated and re-faulted per cell, and
 //! * a finished lane's slot is refilled without returning to the harness,
 //!   so a thread given `k × lanes` cells runs them back to back with no
 //!   scheduling gaps.
