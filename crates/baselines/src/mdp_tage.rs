@@ -105,6 +105,14 @@ struct Entry {
     useful: bool,
 }
 
+/// Most components an [`MdpTage`] may have: keys are derived into a
+/// fixed stack array, so a lookup allocates nothing.
+const MAX_COMPONENTS: usize = 16;
+
+/// Every component's `(index, tag)`, shortest history first; only the
+/// first `n` passed to [`MdpTage::keys_upto`] are meaningful.
+type Keys = [(u64, u64); MAX_COMPONENTS];
+
 /// The MDP-TAGE predictor.
 ///
 /// Prediction: the longest-history component with a tag match and a set
@@ -117,6 +125,10 @@ pub struct MdpTage {
     /// Cached display name (`name()` must not allocate per call).
     name: String,
     tables: Vec<AssocTable<Entry>>,
+    /// One past the longest component that has ever received an entry.
+    /// Nothing is ever removed from the tables, so every component from
+    /// `live` on is empty and cannot provide.
+    live: usize,
     accesses: u64,
     lfsr: u32,
     stats: AccessStats,
@@ -124,12 +136,21 @@ pub struct MdpTage {
 
 impl MdpTage {
     /// Creates an MDP-TAGE predictor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the components are not ordered shortest history first,
+    /// or if there are more than 16 of them.
     pub fn new(cfg: MdpTageConfig) -> MdpTage {
-        // `provider` folds every component from one incremental history
+        // `keys_upto` folds every component from one incremental history
         // walk, which requires the documented shortest-first ordering.
         assert!(
             cfg.components.windows(2).all(|w| w[0].history_len <= w[1].history_len),
             "components must be ordered shortest history first"
+        );
+        assert!(
+            cfg.components.len() <= MAX_COMPONENTS,
+            "at most {MAX_COMPONENTS} components are supported"
         );
         let tables = cfg
             .components
@@ -140,22 +161,32 @@ impl MdpTage {
             .collect();
         let style = if cfg.lru_bits > 0 { "mdp-tage-s" } else { "mdp-tage" };
         let name = format!("{style}-{:.1}KB", cfg.storage_bits() as f64 / 8192.0);
-        MdpTage { tables, cfg, name, accesses: 0, lfsr: 0xbeef, stats: AccessStats::default() }
+        MdpTage {
+            tables,
+            cfg,
+            name,
+            live: 0,
+            accesses: 0,
+            lfsr: 0xbeef,
+            stats: AccessStats::default(),
+        }
     }
 
-    fn keys(&self, ci: usize, pc: Pc, history: &DivergentHistory) -> (u64, u64) {
-        let c = &self.cfg.components[ci];
-        let index_bits = c.sets.trailing_zeros();
-        let folded = history.fold_plain(c.history_len as usize, index_bits + c.tag_bits);
-        self.keys_folded(ci, pc, folded)
-    }
-
-    /// Index/tag from an already folded history (see [`PathFolder`]).
-    fn keys_folded(&self, ci: usize, pc: Pc, folded: u64) -> (u64, u64) {
-        let index_bits = self.cfg.components[ci].sets.trailing_zeros();
-        let index = pc_index_hash(pc) ^ (folded & ((1 << index_bits) - 1));
-        let tag = pc_tag_hash(pc) ^ (folded >> index_bits);
-        (index, tag)
+    /// The `(index, tag)` of components `0..n` from one incremental walk
+    /// of the history (see [`PathFolder`]): each component's path is a
+    /// prefix of the next, so the walk stops at component `n - 1`'s
+    /// length instead of re-reading the shared prefix per component.
+    fn keys_upto(&self, n: usize, pc: Pc, history: &DivergentHistory) -> Keys {
+        let mut keys = [(0, 0); MAX_COMPONENTS];
+        let mut folder = PathFolder::new(history);
+        for (ci, c) in self.cfg.components[..n].iter().enumerate() {
+            let index_bits = c.sets.trailing_zeros();
+            let folded = folder.fold_plain(c.history_len as usize, index_bits + c.tag_bits);
+            let index = pc_index_hash(pc) ^ (folded & ((1 << index_bits) - 1));
+            let tag = pc_tag_hash(pc) ^ (folded >> index_bits);
+            keys[ci] = (index, tag);
+        }
+        keys
     }
 
     fn tick(&mut self) {
@@ -179,17 +210,15 @@ impl MdpTage {
     }
 
     fn provider(&mut self, pc: Pc, history: &DivergentHistory) -> Option<(usize, u8)> {
-        // One incremental walk of the history serves every component:
-        // the geometric series probes shortest history first, so each
-        // component's path is a prefix of the next (per-load hot path).
+        // Every component is probed (and counted as a read), but only
+        // those below `live` can hold an entry, so the history is folded
+        // only that far. Store→load paths are short, so `live` rarely
+        // passes the first few components and a load folds a few dozen
+        // events, not the longest component's 2,000 (per-load hot path).
+        self.stats.reads += self.tables.len() as u64;
+        let keys = self.keys_upto(self.live, pc, history);
         let mut found = None;
-        let mut folder = PathFolder::new(history);
-        for ci in 0..self.tables.len() {
-            self.stats.reads += 1;
-            let c = &self.cfg.components[ci];
-            let bits = c.sets.trailing_zeros() + c.tag_bits;
-            let folded = folder.fold_plain(c.history_len as usize, bits);
-            let (index, tag) = self.keys_folded(ci, pc, folded);
+        for (ci, &(index, tag)) in keys[..self.live].iter().enumerate() {
             if let Some(e) = self.tables[ci].peek(index, tag) {
                 if e.useful {
                     found = Some((ci, e.distance));
@@ -199,16 +228,43 @@ impl MdpTage {
         found
     }
 
-    fn allocate(&mut self, ci: usize, pc: Pc, history: &DivergentHistory, distance: u32) {
-        let (index, tag) = self.keys(ci, pc, history);
+    fn allocate(&mut self, ci: usize, (index, tag): (u64, u64), distance: u32) {
         self.stats.writes += 1;
         self.tables[ci].insert(
             index,
             tag,
             Entry { distance: distance.min(MAX_STORE_DISTANCE) as u8, useful: true },
         );
+        self.live = self.live.max(ci + 1);
     }
 
+    /// Reference key derivation: one full fold per component.
+    #[cfg(test)]
+    fn keys(&self, ci: usize, pc: Pc, history: &DivergentHistory) -> (u64, u64) {
+        let c = &self.cfg.components[ci];
+        let index_bits = c.sets.trailing_zeros();
+        let folded = history.fold_plain(c.history_len as usize, index_bits + c.tag_bits);
+        let index = pc_index_hash(pc) ^ (folded & ((1 << index_bits) - 1));
+        let tag = pc_tag_hash(pc) ^ (folded >> index_bits);
+        (index, tag)
+    }
+
+    /// Reference provider: probes every component, folding the whole
+    /// longest history whatever `live` says.
+    #[cfg(test)]
+    fn provider_full(&mut self, pc: Pc, history: &DivergentHistory) -> Option<(usize, u8)> {
+        let mut found = None;
+        for ci in 0..self.tables.len() {
+            self.stats.reads += 1;
+            let (index, tag) = self.keys(ci, pc, history);
+            if let Some(e) = self.tables[ci].peek(index, tag) {
+                if e.useful {
+                    found = Some((ci, e.distance));
+                }
+            }
+        }
+        found
+    }
 }
 
 impl MemDepPredictor for MdpTage {
@@ -240,9 +296,13 @@ impl MemDepPredictor for MdpTage {
         } else {
             0
         };
+        // One walk keys every component; the lookups below must still run
+        // in this exact order, because `lookup` advances a table's LRU
+        // clock even on a miss.
+        let n = self.tables.len();
+        let keys = self.keys_upto(n, v.load_pc, v.history);
         // An existing entry for this exact context retrains in place.
-        for ci in start..self.tables.len() {
-            let (index, tag) = self.keys(ci, v.load_pc, v.history);
+        for (ci, &(index, tag)) in keys.iter().enumerate().take(n).skip(start) {
             if let Some(e) = self.tables[ci].lookup(index, tag) {
                 e.distance = v.store_distance.min(MAX_STORE_DISTANCE) as u8;
                 e.useful = true;
@@ -251,19 +311,17 @@ impl MemDepPredictor for MdpTage {
             }
         }
         // Otherwise claim the first slot that is free or not useful.
-        for ci in start..self.tables.len() {
-            let (index, _tag) = self.keys(ci, v.load_pc, v.history);
+        for (ci, &(index, tag)) in keys.iter().enumerate().take(n).skip(start) {
             let claimable = !self.tables[ci].set_full(index)
                 || self.tables[ci].lru_victim_mut(index).is_some_and(|e| !e.useful);
             if claimable {
-                self.allocate(ci, v.load_pc, v.history, v.store_distance);
+                self.allocate(ci, (index, tag), v.store_distance);
                 return;
             }
         }
         // Everything useful along the path: age the shortest candidate so
         // a future allocation can succeed (TAGE's u decay).
-        let (index, _) = self.keys(start, v.load_pc, v.history);
-        if let Some(e) = self.tables[start].lru_victim_mut(index) {
+        if let Some(e) = self.tables[start].lru_victim_mut(keys[start].0) {
             e.useful = false;
             self.stats.writes += 1;
         }
@@ -279,7 +337,7 @@ impl MemDepPredictor for MdpTage {
         let denom = self.cfg.false_dep_reset_denom;
         if self.rand().is_multiple_of(denom) {
             let ci = (c.prediction.hint - 1) as usize;
-            let (index, tag) = self.keys(ci, c.pc, c.history);
+            let (index, tag) = self.keys_upto(ci + 1, c.pc, c.history)[ci];
             self.stats.writes += 1;
             if let Some(e) = self.tables[ci].lookup(index, tag) {
                 e.useful = false;
@@ -304,6 +362,7 @@ impl MemDepPredictor for MdpTage {
 mod tests {
     use super::*;
     use phast_branch::DivergentEvent;
+    use proptest::prelude::*;
 
     fn history_with(events: &[(bool, u64)]) -> DivergentHistory {
         let mut h = DivergentHistory::new();
@@ -333,6 +392,197 @@ mod tests {
             store_token: 0,
             prior,
         }
+    }
+
+    /// The unbounded algorithm, as the reference the bounded predictor
+    /// must match call for call: a full-history provider and one fold per
+    /// component key, with the same table-call sequence.
+    struct Reference(MdpTage);
+
+    impl Reference {
+        fn predict_load(&mut self, q: &LoadQuery<'_>) -> PredictionOutcome {
+            let p = &mut self.0;
+            p.tick();
+            match p.provider_full(q.pc, q.history) {
+                Some((ci, dist)) => PredictionOutcome {
+                    dep: DepPrediction::Distance(u32::from(dist)),
+                    hint: ci as u64 + 1,
+                },
+                None => PredictionOutcome::none(),
+            }
+        }
+
+        fn train_violation(&mut self, v: &Violation<'_>) {
+            let p = &mut self.0;
+            p.tick();
+            let n = p.tables.len();
+            let start = if v.prior.dep.is_dependence() && v.prior.hint > 0 {
+                (v.prior.hint as usize).min(n - 1)
+            } else {
+                0
+            };
+            for ci in start..n {
+                let (index, tag) = p.keys(ci, v.load_pc, v.history);
+                if let Some(e) = p.tables[ci].lookup(index, tag) {
+                    e.distance = v.store_distance.min(MAX_STORE_DISTANCE) as u8;
+                    e.useful = true;
+                    p.stats.writes += 1;
+                    return;
+                }
+            }
+            for ci in start..n {
+                let (index, _tag) = p.keys(ci, v.load_pc, v.history);
+                let claimable = !p.tables[ci].set_full(index)
+                    || p.tables[ci].lru_victim_mut(index).is_some_and(|e| !e.useful);
+                if claimable {
+                    let keys = p.keys(ci, v.load_pc, v.history);
+                    p.allocate(ci, keys, v.store_distance);
+                    return;
+                }
+            }
+            let (index, _) = p.keys(start, v.load_pc, v.history);
+            if let Some(e) = p.tables[start].lru_victim_mut(index) {
+                e.useful = false;
+                p.stats.writes += 1;
+            }
+        }
+
+        fn load_committed(&mut self, c: &LoadCommit<'_>) {
+            let p = &mut self.0;
+            let DepPrediction::Distance(_) = c.prediction.dep else { return };
+            if c.waited_correct || c.prediction.hint == 0 {
+                return;
+            }
+            if p.rand().is_multiple_of(p.cfg.false_dep_reset_denom) {
+                let ci = (c.prediction.hint - 1) as usize;
+                let (index, tag) = p.keys(ci, c.pc, c.history);
+                p.stats.writes += 1;
+                if let Some(e) = p.tables[ci].lookup(index, tag) {
+                    e.useful = false;
+                }
+            }
+        }
+    }
+
+    /// One SplitMix64 step, to expand an operation's seed.
+    fn mix64(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The live-bounded provider and the single-walk training keys
+        /// give the same outcomes and access counts as the full-walk
+        /// reference after every call: over random histories up to
+        /// twice the longest component, predictions, violations that
+        /// escalate from the real prior or are forced up to the longest
+        /// component, and false-dependence commits.
+        #[test]
+        fn bounded_walk_matches_full_walk(
+            geometry in 0usize..3,
+            ops in proptest::collection::vec((0u8..5, any::<u64>()), 1..160),
+        ) {
+            let mut cfg = [
+                MdpTageConfig::paper(),
+                MdpTageConfig::short(),
+                MdpTageConfig::paper_scaled(1, 2),
+            ][geometry].clone();
+            // Exercise the u-reset and the false-dependence reset often.
+            cfg.u_reset_period = 97;
+            cfg.false_dep_reset_denom = 2;
+            let mut fast = MdpTage::new(cfg.clone());
+            let mut reference = Reference(MdpTage::new(cfg));
+            let n = fast.tables.len() as u64;
+            let pcs = [0x100u64, 0x140, 0x1c4, 0x2000];
+            let mut h = DivergentHistory::new();
+            let mut last = [PredictionOutcome::none(); 4];
+            for (step, &(kind, seed)) in ops.iter().enumerate() {
+                let pc_i = (seed % 4) as usize;
+                let pc = pcs[pc_i];
+                let r = mix64(seed);
+                match kind {
+                    0 => {
+                        // A burst now and then carries the history past
+                        // the longest component (2,000 events).
+                        let count = if r.is_multiple_of(8) { 1500 } else { r % 24 };
+                        let mut x = r;
+                        for _ in 0..count {
+                            x = mix64(x);
+                            h.push(DivergentEvent {
+                                indirect: x & 1 == 0,
+                                taken: x & 2 == 0,
+                                target: x >> 8,
+                            });
+                        }
+                        continue;
+                    }
+                    1 => {}
+                    2 | 3 => {
+                        let prior = if kind == 2 {
+                            last[pc_i]
+                        } else {
+                            // Forced escalation, up to the longest component.
+                            PredictionOutcome {
+                                dep: DepPrediction::Distance(1),
+                                hint: n - (r % 3).min(n - 1),
+                            }
+                        };
+                        let v = viol(pc, (r >> 8) as u32 % 130, prior, &h);
+                        fast.train_violation(&v);
+                        reference.train_violation(&v);
+                        prop_assert_eq!(fast.stats, reference.0.stats, "step {} train", step);
+                    }
+                    _ => {
+                        let commit = LoadCommit {
+                            pc,
+                            prediction: last[pc_i],
+                            actual_distance: None,
+                            waited_correct: false,
+                            history: &h,
+                        };
+                        fast.load_committed(&commit);
+                        reference.load_committed(&commit);
+                        prop_assert_eq!(fast.stats, reference.0.stats, "step {} commit", step);
+                    }
+                }
+                let got = fast.predict_load(&lq(pc, &h));
+                let want = reference.predict_load(&lq(pc, &h));
+                prop_assert_eq!(got, want, "step {} predict", step);
+                prop_assert_eq!(fast.stats, reference.0.stats, "step {} predict", step);
+                last[pc_i] = got;
+            }
+        }
+    }
+
+    #[test]
+    fn longest_component_provides_past_the_live_bound() {
+        let mut p = MdpTage::new(MdpTageConfig::paper());
+        let mut h = DivergentHistory::new();
+        for i in 0..2500u64 {
+            h.push(DivergentEvent {
+                indirect: i.is_multiple_of(3),
+                taken: i.is_multiple_of(2),
+                target: i * 7,
+            });
+        }
+        let forced = PredictionOutcome { dep: DepPrediction::Distance(1), hint: 12 };
+        p.train_violation(&viol(0x100, 9, forced, &h));
+        let out = p.predict_load(&lq(0x100, &h));
+        assert_eq!(out, PredictionOutcome { dep: DepPrediction::Distance(9), hint: 12 });
+        assert_eq!(p.access_stats().reads, 12, "every component counts as probed");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 components")]
+    fn rejects_more_than_sixteen_components() {
+        let mut cfg = MdpTageConfig::short();
+        let c = cfg.components[0];
+        cfg.components = vec![c; 17];
+        let _ = MdpTage::new(cfg);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! Workloads are chosen to stress different parts of the kernel:
 //! `lbm` (memory-heavy stores), `gcc_1` (branchy, big footprint),
 //! `exchange2` (tight integer loops) and `perlbench_1` (mixed). Each
-//! runs under the headline PHAST predictor and under blind speculation,
-//! bounding the predictor's share of the kernel cost.
+//! runs under the headline PHAST predictor, under MDP-TAGE (the costliest
+//! predictor to simulate) and under blind speculation, bounding the
+//! predictor's share of the kernel cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use phast_experiments::harness::simulate_run;
@@ -24,7 +25,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const WORKLOADS: [&str; 4] = ["lbm", "gcc_1", "exchange2", "perlbench_1"];
-const PREDICTORS: [PredictorKind; 2] = [PredictorKind::Blind, PredictorKind::Phast];
+const PREDICTORS: [PredictorKind; 3] =
+    [PredictorKind::Blind, PredictorKind::Phast, PredictorKind::MdpTage];
 
 fn bench_simkernel(c: &mut Criterion) {
     let budget = Budget::bench();
@@ -70,7 +72,46 @@ fn bench_simkernel(c: &mut Criterion) {
     g.finish();
 }
 
-/// Builds the full 4×2 grid as lane jobs (fresh program and predictor per
+/// Aggregate Mcycles/s of MDP-TAGE over PHAST on the same workloads:
+/// summed cycles over the summed best-of-`REPS` wall per cell. Both sides
+/// run on one host in one process, so the ratio is host-independent where
+/// the raw rates are not; CI's perf-smoke gate puts a floor under it.
+fn bench_predictor_ratio(_c: &mut Criterion) {
+    const REPS: usize = 7;
+    let budget = Budget::bench();
+    let cfg = CoreConfig::alder_lake();
+    let rate = |kind: PredictorKind| {
+        let (mut cycles, mut wall) = (0u64, 0.0f64);
+        for name in WORKLOADS {
+            let w = phast_workloads::by_name(name).expect("bench workload exists");
+            let program = w.build(budget.workload_iters);
+            let mut core_cfg = cfg.clone();
+            core_cfg.train_point = kind.train_point();
+            let mut best = f64::INFINITY;
+            let mut cell_cycles = 0;
+            for _ in 0..REPS {
+                let mut pred = kind.build(&program, budget.insts);
+                let r =
+                    simulate_run(name, &kind.label(), &program, &core_cfg, pred.as_mut(), budget.insts);
+                assert!(r.ok(), "ratio bench run degraded: {:?}", r.failure);
+                best = best.min(r.wall.as_secs_f64());
+                cell_cycles = r.stats.cycles;
+            }
+            cycles += cell_cycles;
+            wall += best;
+        }
+        cycles as f64 / wall / 1e6
+    };
+    let phast = rate(PredictorKind::Phast);
+    let tage = rate(PredictorKind::MdpTage);
+    println!(
+        "simkernel-predictors phast={phast:.2} mdp-tage={tage:.2} Mcycles/s \
+         ratio mdp-tage/phast={:.3}",
+        tage / phast
+    );
+}
+
+/// Builds the full grid as lane jobs (fresh program and predictor per
 /// cell, exactly what one sweep cell constructs).
 fn lane_grid(budget: &Budget, cfg: &CoreConfig) -> Vec<LaneJob> {
     let mut jobs = Vec::new();
@@ -151,5 +192,5 @@ fn run_lane_grid(lanes: usize, budget: &Budget, cfg: &CoreConfig) -> (usize, u64
     (reports.len(), cycles, wall)
 }
 
-criterion_group!(benches, bench_simkernel, bench_lanes);
+criterion_group!(benches, bench_simkernel, bench_predictor_ratio, bench_lanes);
 criterion_main!(benches);

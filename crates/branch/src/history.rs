@@ -253,9 +253,11 @@ fn fold_down(acc: u64, bits: u32) -> u64 {
 /// prefixes of the same newest-first event sequence. Collecting a [`Path`]
 /// per component allocates a `Vec` and re-walks the shared prefix every
 /// time — on MDP-TAGE's 12-component geometric series that is ~4900 ring
-/// reads per load where ~2000 suffice. A `PathFolder` walks the ring once,
-/// carrying the raw fold accumulator forward, and folds it down at each
-/// requested length.
+/// reads per load. A `PathFolder` walks the ring once, carrying the raw
+/// fold accumulator forward, and folds it down at each requested length,
+/// so a walk costs only the longest length asked for. Callers bound that
+/// length themselves: MDP-TAGE stops at its longest component that has
+/// ever held an entry, usually a few dozen events instead of 2,000.
 ///
 /// Lengths must be non-decreasing across calls (probe components shortest
 /// history first, as every TAGE-style loop already does). Each fold is

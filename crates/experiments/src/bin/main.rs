@@ -23,7 +23,9 @@
 //! usage (2), integrity (3) and deadline (4) outcomes; see
 //! docs/RESILIENCE.md. `--verify <BENCH.json>...` checks existing
 //! artifacts against their sealed digests without running anything,
-//! exiting 3 on any mismatch.
+//! exiting 3 on any mismatch. `--compare BEFORE.json AFTER.json` prints
+//! per-predictor host-time deltas between two artifacts whose simulated
+//! results are identical, and exits 3 if they are not.
 
 use phast_experiments::figures;
 use phast_experiments::{
@@ -99,6 +101,7 @@ fn usage() -> ! {
     );
     eprintln!("       phast-experiments --list-workloads | --list-predictors | --list-experiments");
     eprintln!("       phast-experiments --verify <BENCH.json | checkpoints.phsc | trace.phtr>...");
+    eprintln!("       phast-experiments --compare <BEFORE.json> <AFTER.json>");
     eprintln!("       phast-experiments [--quick|--sampled] [sampling flags] --dump-checkpoints=FILE");
     eprintln!(
         "       phast-experiments [--quick|--sampled] [--trace-workload=NAME] --record-trace=FILE"
@@ -159,6 +162,12 @@ fn help() {
          \x20                     through the full v3 codec validators, and PHTR\n\
          \x20                     traces additionally replay in lockstep against\n\
          \x20                     the reference emulator\n\
+         \x20 --compare A B      compare two BENCH_<id>.json artifacts of the same\n\
+         \x20                     grid: verify both digests, refuse (exit 3) if\n\
+         \x20                     the runs differ or any run's cycles/committed\n\
+         \x20                     differ (naming the first such run), else print\n\
+         \x20                     summed wall_s and MIPS per predictor with\n\
+         \x20                     B/A ratios, and simulated_mips (docs/PROFILING.md)\n\
          \x20 --dump-checkpoints=FILE\n\
          \x20                     capture the first budgeted workload under the\n\
          \x20                     effective sampling config, write the PHSC bytes\n\
@@ -321,6 +330,23 @@ fn main() {
             }
         }
         std::process::exit(if intact { exit_code::OK } else { exit_code::INTEGRITY });
+    }
+    // Comparison mode: timing deltas between two artifacts whose
+    // simulated results must be identical; nothing is simulated.
+    if let Some(pos) = args.iter().position(|a| a == "--compare") {
+        let files: Vec<&String> = args[pos + 1..].iter().filter(|a| !a.starts_with("--")).collect();
+        let [before, after] = files.as_slice() else {
+            eprintln!("error: --compare expects exactly two BENCH_<id>.json paths");
+            std::process::exit(exit_code::USAGE);
+        };
+        match phast_experiments::compare::compare_files(before.as_ref(), after.as_ref()) {
+            Ok(c) => print!("{}", c.render()),
+            Err(e) => {
+                eprintln!("FAILED  {e}");
+                std::process::exit(exit_code::INTEGRITY);
+            }
+        }
+        return;
     }
     let quick = args.iter().any(|a| a == "--quick");
     let sampled = args.iter().any(|a| a == "--sampled");

@@ -29,6 +29,7 @@
 
 pub mod ablations;
 pub mod artifact;
+pub mod compare;
 pub mod figures;
 pub mod harness;
 pub mod journal;

@@ -20,6 +20,7 @@ use crate::check::{CommitChecker, FaultInjector};
 use crate::config::{CoreConfig, IndirectPredictorKind, MemSquashPolicy, TrainPoint};
 use crate::deadline::Deadline;
 use crate::error::{HeadUop, PipelineSnapshot, SimError};
+use crate::rob::Rob;
 use crate::stats::SimStats;
 use phast_branch::{
     DirectionPredictor, DivergentEvent, DivergentHistory, HistoryCheckpoint, Ittage, IttageConfig,
@@ -116,7 +117,8 @@ struct PendingViolation {
     history_len: u32,
 }
 
-/// One in-flight micro-operation.
+/// One in-flight micro-operation. Fetch writes it into its ROB ring slot,
+/// where it stays until a later fetch reuses the slot.
 struct Uop {
     token: u64,
     arch_seq: u64,
@@ -258,8 +260,11 @@ pub struct Core<'a> {
     // are incrementally maintained scoreboards over it (all token-sorted
     // ascending, cross-checked against a from-scratch recount by
     // `audit_invariants`) so no stage has to scan the whole ROB.
-    rob: VecDeque<Uop>,
-    rob_head_token: u64,
+    /// The ROB: a ring of uop slots allocated once at construction and
+    /// indexed by `token & mask`. Fetch writes a uop into its slot, commit
+    /// reads the head slot in place and advances the head, and a squash
+    /// rewinds the tail; no uop is moved out by value.
+    rob: Rob<Uop>,
     /// Unissued uops in age order — the issue queue. Replaces the
     /// per-cycle full-ROB issue scan.
     iq_tokens: VecDeque<u64>,
@@ -391,8 +396,7 @@ impl<'a> Core<'a> {
             rat: [None; NUM_REGS],
             arch_regs: [0; NUM_REGS],
             memory_state: SparseMemory::new(),
-            rob: VecDeque::with_capacity(cfg.rob_size),
-            rob_head_token: 0,
+            rob: Rob::new(cfg.rob_size),
             iq_tokens: VecDeque::with_capacity(cfg.iq_size),
             lq_tokens: VecDeque::with_capacity(cfg.lq_size),
             sq_tokens: VecDeque::with_capacity(cfg.sq_size),
@@ -454,8 +458,7 @@ impl<'a> Core<'a> {
             rat: [None; NUM_REGS],
             arch_regs: boot.arch.regs,
             memory_state: boot.arch.memory,
-            rob: VecDeque::with_capacity(cfg.rob_size),
-            rob_head_token: 0,
+            rob: Rob::new(cfg.rob_size),
             iq_tokens: VecDeque::with_capacity(cfg.iq_size),
             lq_tokens: VecDeque::with_capacity(cfg.lq_size),
             sq_tokens: VecDeque::with_capacity(cfg.sq_size),
@@ -623,7 +626,7 @@ impl<'a> Core<'a> {
             last_commit_cycle: self.last_commit_cycle,
             stats: self.collect_stats(),
             rob_len: self.rob.len(),
-            rob_head_token: self.rob_head_token,
+            rob_head_token: self.rob.head_token(),
             head: self.rob.front().map(|u| HeadUop {
                 token: u.token,
                 arch_seq: u.arch_seq,
@@ -686,8 +689,8 @@ impl<'a> Core<'a> {
 
     #[inline]
     fn rob_index(&self, token: u64) -> usize {
-        debug_assert!(token >= self.rob_head_token);
-        (token - self.rob_head_token) as usize
+        debug_assert!(token >= self.rob.head_token());
+        (token - self.rob.head_token()) as usize
     }
 
     #[inline]
@@ -706,10 +709,10 @@ impl<'a> Core<'a> {
     }
 
     fn store_done(&self, token: u64) -> bool {
-        if token < self.rob_head_token {
+        if token < self.rob.head_token() {
             return true; // already committed
         }
-        let idx = (token - self.rob_head_token) as usize;
+        let idx = (token - self.rob.head_token()) as usize;
         match self.rob.get(idx) {
             Some(u) => u.completed,
             None => true, // squashed or never existed: nothing to wait for
@@ -751,7 +754,7 @@ impl<'a> Core<'a> {
                 if self.injector.as_mut().is_some_and(|i| i.spurious_violation(arch_seq)) {
                     let v = PendingViolation {
                         store_pc: pc,
-                        store_token: self.rob_head_token.saturating_sub(1),
+                        store_token: self.rob.head_token().saturating_sub(1),
                         store_distance: 0,
                         history_len: 0,
                     };
@@ -807,8 +810,11 @@ impl<'a> Core<'a> {
     }
 
     fn commit_one(&mut self) -> Result<(), SimError> {
-        let u = self.rob.pop_front().expect("head exists");
-        self.rob_head_token += 1;
+        // Retire first (an error snapshot below must show the head gone),
+        // then read the retired slot in place: nothing refills it before
+        // the next fetch.
+        let token = self.rob.retire_head();
+        let u = self.rob.retired(token);
         self.stats.committed += 1;
         self.last_commit_cycle = self.cycle;
         if let Some(log) = &mut self.commit_log {
@@ -956,10 +962,10 @@ impl<'a> Core<'a> {
             // Squashes leave entries behind, and squashed tokens are
             // reused by refetch: the entry is stale unless it names a
             // live, issued, not-yet-completed uop due exactly now.
-            if token < self.rob_head_token {
+            if token < self.rob.head_token() {
                 continue;
             }
-            let i = (token - self.rob_head_token) as usize;
+            let i = (token - self.rob.head_token()) as usize;
             let Some(u) = self.rob.get(i) else { continue };
             if !u.issued || u.completed || u.complete_at != done {
                 continue;
@@ -1090,7 +1096,7 @@ impl<'a> Core<'a> {
 
         let eager = self.cfg.mem_squash == MemSquashPolicy::Eager;
         for &load_token in &violations {
-            let j = (load_token - self.rob_head_token) as usize;
+            let j = (load_token - self.rob.head_token()) as usize;
             if eager && j >= self.rob.len() {
                 break; // an earlier eager squash removed the rest
             }
@@ -1169,7 +1175,7 @@ impl<'a> Core<'a> {
     fn operand_ready(&self, producer: Option<u64>) -> bool {
         match producer {
             None => true,
-            Some(t) => t < self.rob_head_token || self.uop(t).completed,
+            Some(t) => t < self.rob.head_token() || self.uop(t).completed,
         }
     }
 
@@ -1179,7 +1185,7 @@ impl<'a> Core<'a> {
             return 0;
         }
         match producer {
-            Some(t) if t >= self.rob_head_token => {
+            Some(t) if t >= self.rob.head_token() => {
                 self.uop(t).result.expect("completed producer has a result")
             }
             _ => self.arch_regs[r.index()],
@@ -1658,7 +1664,7 @@ impl<'a> Core<'a> {
                 _ => WaitSpec::None,
             },
             DepPrediction::StoreToken(t) => {
-                if t >= self.rob_head_token
+                if t >= self.rob.head_token()
                     && self.sq_tokens.binary_search(&t).is_ok()
                     && !self.store_done(t)
                 {
@@ -1720,7 +1726,7 @@ impl<'a> Core<'a> {
             // ROB tokens are dense and ascending from the head (token -
             // head indexes the ROB; `rob_index` and `store_done` depend
             // on this).
-            let expect = self.rob_head_token + i as u64;
+            let expect = self.rob.head_token() + i as u64;
             if u.token != expect {
                 return Err(format!(
                     "ROB not token-dense: position {i} holds token {} (expected {expect})",
@@ -1813,7 +1819,7 @@ impl<'a> Core<'a> {
         // surviving rename would own the entry).
         for (r, &rat_entry) in self.rat.iter().enumerate() {
             let Some(t) = rat_entry else { continue };
-            if t < self.rob_head_token {
+            if t < self.rob.head_token() {
                 if let Some(w) = youngest_writer[r] {
                     return Err(format!(
                         "RAT[r{r}] names committed token {t} but token {w} writes r{r} in flight"
@@ -1821,7 +1827,7 @@ impl<'a> Core<'a> {
                 }
                 continue;
             }
-            let idx = (t - self.rob_head_token) as usize;
+            let idx = (t - self.rob.head_token()) as usize;
             let Some(u) = self.rob.get(idx) else {
                 return Err(format!("RAT[r{r}] names token {t} beyond the ROB tail"));
             };
@@ -1858,16 +1864,16 @@ impl<'a> Core<'a> {
             if u.token < boundary {
                 break;
             }
-            let u = self.rob.pop_back().expect("non-empty");
             if let Some(d) = u.dst {
                 self.rat[d.index()] = u.prev_rat;
                 self.reg_writers[d.index()] -= 1;
             }
+            self.rob.pop_back();
             self.stats.squashed_uops += 1;
         }
         // Tokens index the ROB (token - head == position), so the next
         // token restarts at the squash boundary to keep the range dense.
-        self.next_token = boundary.max(self.rob_head_token);
+        self.next_token = boundary.max(self.rob.head_token());
         // The scoreboards are token-sorted, so the squashed tokens are
         // exactly their suffixes. (Stale completion-heap entries are
         // detected at pop time instead — see `writeback`.)
@@ -1893,4 +1899,87 @@ impl<'a> Core<'a> {
 fn truncate_from(q: &mut VecDeque<u64>, boundary: u64) {
     let keep = q.partition_point(|&t| t < boundary);
     q.truncate(keep);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use phast_branch::{Tage, TageConfig};
+    use phast_isa::{CondKind, ProgramBuilder};
+    use phast_mdp::BlindSpeculation;
+
+    /// A loop whose branch follows a pseudo-random bit (so it mispredicts
+    /// about half the time, at varying ROB positions) and whose load
+    /// overtakes a store whose address waits on a divide (a commit-time
+    /// violation squash under blind speculation).
+    fn squashy_loop(iters: i64) -> Program {
+        let mut b = ProgramBuilder::new();
+        let entry = b.block();
+        let head = b.block();
+        let mid = b.block();
+        let skip = b.block();
+        let exit = b.block();
+        b.at(entry)
+            .li(Reg(1), 12345)
+            .li(Reg(11), 6_364_136_223_846_793_005)
+            .li(Reg(9), 0x8000)
+            .li(Reg(12), 1)
+            .li(Reg(10), 0)
+            .jump(head);
+        b.at(head)
+            .div(Reg(8), Reg(9), Reg(12))
+            .store(Reg(8), 0, Reg(10), MemSize::B8)
+            .load(Reg(4), Reg(9), 0, MemSize::B8)
+            .mul(Reg(1), Reg(1), Reg(11))
+            .addi(Reg(1), Reg(1), 1_442_695_040_888_963_407)
+            .shri(Reg(2), Reg(1), 33)
+            .andi(Reg(2), Reg(2), 1)
+            .branchi(CondKind::Eq, Reg(2), 0, skip)
+            .fallthrough(mid);
+        b.at(mid).addi(Reg(3), Reg(3), 1).fallthrough(skip);
+        b.at(skip)
+            .add(Reg(5), Reg(5), Reg(4))
+            .addi(Reg(10), Reg(10), 1)
+            .branchi(CondKind::LtU, Reg(10), iters, head)
+            .fallthrough(exit);
+        b.at(exit).halt();
+        b.set_entry(entry);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn rob_ring_survives_wraps_and_squashes_at_every_slot() {
+        let program = squashy_loop(400);
+        let mut cfg = CoreConfig::alder_lake();
+        // Not a power of two: the ring rounds up to 8 slots.
+        cfg.rob_size = 6;
+        cfg.check = crate::check::CheckConfig::full();
+        cfg.check.invariant_interval = 1;
+        let slots = cfg.rob_size.next_power_of_two() as u64;
+        let mut pred = BlindSpeculation;
+        let mut core =
+            Core::new(&program, cfg, &mut pred, Box::new(Tage::new(TageConfig::default())));
+        let mut squashed = 0;
+        let mut boundary_slots = vec![0u32; slots as usize];
+        while !core.halted {
+            core.try_step().unwrap_or_else(|e| panic!("cycle {}: {e}", core.cycle));
+            if core.stats.squashed_uops > squashed {
+                squashed = core.stats.squashed_uops;
+                // A squash stalls fetch for the rest of its cycle, so the
+                // next token is the (last) squash boundary.
+                boundary_slots[(core.next_token & (slots - 1)) as usize] += 1;
+            }
+        }
+        assert!(core.stats.violations > 0, "the loop must violate");
+        assert!(
+            core.rob.head_token() > 100 * slots,
+            "only {} uops retired: the ring must wrap many times",
+            core.rob.head_token()
+        );
+        assert!(
+            boundary_slots.iter().all(|&n| n > 0),
+            "a squash must land at every slot offset: {boundary_slots:?}"
+        );
+        assert_eq!(core.stats.invariant_audits, core.cycle, "audited every cycle");
+    }
 }

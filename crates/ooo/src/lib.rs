@@ -54,6 +54,7 @@ mod core;
 mod deadline;
 mod error;
 mod lane;
+mod rob;
 mod runner;
 mod stats;
 
